@@ -19,7 +19,7 @@ FUZZTIME ?= 5s
 # operator reaches for mid-incident, so their test coverage is gated.
 COVER_FLOOR ?= 85
 
-.PHONY: build test vet lint lint-sarif lint-audit race fmt-check check fuzz bench bench-alloc bench-json bench-check cover e2e
+.PHONY: build test vet lint lint-sarif lint-audit race fmt-check check fuzz bench bench-alloc bench-json bench-check cover e2e perfbench-test
 
 # Pre-PR gate: everything `make check` runs must pass before a PR ships
 # (see ROADMAP.md "Engineering gates").
@@ -41,6 +41,12 @@ e2e:
 
 vet:
 	$(GO) vet ./...
+
+# Vet and unit-test the repository benchmark's own metric code. perfbench/
+# is a separate Go module (it imports this one through a replace), so the
+# root `go test ./...` does not reach it.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Race instrumentation slows the end-to-end experiment suites well past
 # Go's default 10-minute per-package timeout; give them headroom.

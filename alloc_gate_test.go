@@ -19,6 +19,7 @@ import (
 	"github.com/repro/aegis/internal/daemon"
 	"github.com/repro/aegis/internal/daemon/daemontest"
 	"github.com/repro/aegis/internal/hpc"
+	"github.com/repro/aegis/internal/isa"
 	"github.com/repro/aegis/internal/microarch"
 	"github.com/repro/aegis/internal/obfuscator"
 	"github.com/repro/aegis/internal/rng"
@@ -99,6 +100,40 @@ func TestZeroAllocReadAllInto(t *testing.T) {
 	requireZeroAllocs(t, "PMU.ReadAllInto", 512, func() {
 		pmu.ReadAllInto(buf[:])
 	})
+}
+
+// TestZeroAllocCoreExecute gates the bottom layer of every hot path: one
+// load or store retired by the simulated core. The working set spans far
+// more than the TLB reach and the L2, so the gated runs take the DTLB-miss,
+// L1D-miss and L2-miss (fill and evict) branches, not only hits.
+func TestZeroAllocCoreExecute(t *testing.T) {
+	quietTelemetry(t)
+	core := microarch.NewCore(0, microarch.DefaultCoreConfig(), nil)
+	ctx := microarch.NewWorkloadContext(0x10000, 1<<30, rng.New(6).Split("ctx"))
+	legal := isa.Cleanup(isa.SpecAMDEpyc(1), isa.AMDEpycFeatures()).Legal
+	for _, class := range []isa.Class{isa.ClassLoad, isa.ClassStore, isa.ClassLoadStore} {
+		var v isa.Variant
+		for _, l := range legal {
+			if l.Class == class {
+				v = l
+				break
+			}
+		}
+		if v.Class != class {
+			t.Fatalf("no legal %v variant", class)
+		}
+		before := core.Counters()
+		requireZeroAllocs(t, "Core.Execute("+v.Key()+")", 4096, func() {
+			if err := core.Execute(v, ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+		d := core.Counters().Sub(before)
+		if d.DTLBMisses == 0 || d.L1DMisses == 0 || d.L2Misses == 0 {
+			t.Errorf("%s: gated runs missed dtlb/l1d/l2 %d/%d/%d times; every miss path must be covered",
+				v.Key(), d.DTLBMisses, d.L1DMisses, d.L2Misses)
+		}
+	}
 }
 
 // TestZeroAllocWorldStep gates one scheduler tick of a 1-vCPU SEV guest in

@@ -244,6 +244,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 }
 
 func BenchmarkCoreExecuteLoad(b *testing.B) {
+	b.ReportAllocs()
 	core := microarch.NewCore(0, microarch.DefaultCoreConfig(), nil)
 	ctx := microarch.NewWorkloadContext(0x10000, 1<<18, rng.New(2))
 	legal := isa.Cleanup(isa.SpecAMDEpyc(1), isa.AMDEpycFeatures()).Legal
@@ -259,6 +260,19 @@ func BenchmarkCoreExecuteLoad(b *testing.B) {
 		if err := core.Execute(load, ctx); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// coreSink keeps BenchmarkNewCore's result live.
+var coreSink *microarch.Core
+
+// BenchmarkNewCore measures building one Zen-2 class core with private
+// caches — paid by every core of every world a profiling trace builds.
+func BenchmarkNewCore(b *testing.B) {
+	cfg := microarch.DefaultCoreConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		coreSink = microarch.NewCore(0, cfg, nil)
 	}
 }
 

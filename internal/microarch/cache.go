@@ -1,24 +1,54 @@
 // Package microarch simulates the micro-architectural state of one CPU core:
-// set-associative caches with LRU replacement, a TLB, a branch predictor and
-// an execution engine that retires instruction variants from the isa package
-// while accounting every raw micro-event (dispatches, refills, mispredicts,
-// ...). The hpc package derives its performance-counter events from these
-// raw counts, so instruction gadgets perturb HPC events through the same
-// mechanistic paths as on real hardware: a CLFLUSH analog actually evicts
-// the line a subsequent load will miss on.
+// set-associative caches, a TLB, a branch predictor and an execution engine
+// that retires instruction variants from the isa package while accounting
+// every raw micro-event (dispatches, refills, mispredicts, ...). The hpc
+// package derives its performance-counter events from these raw counts, so
+// instruction gadgets perturb HPC events through the same mechanistic paths
+// as on real hardware: a CLFLUSH analog actually evicts the line a
+// subsequent load will miss on.
 package microarch
 
-// Cache is a set-associative cache with true-LRU replacement.
+// lookup returns the index of the valid way holding tag, or -1. tags and
+// valid are the same-length views of one set (or of a whole TLB).
+func lookup(tags []uint64, valid []bool, tag uint64) int {
+	valid = valid[:len(tags)]
+	for w := range tags {
+		if tags[w] == tag && valid[w] {
+			return w
+		}
+	}
+	return -1
+}
+
+// install writes tag into the first invalid way, or over the last way when
+// every one is valid, and reports whether it overwrote a line.
+func install(tags []uint64, valid []bool, tag uint64) (evicted bool) {
+	victim := len(tags) - 1
+	for w := range valid {
+		if !valid[w] {
+			victim = w
+			break
+		}
+	}
+	evicted = valid[victim]
+	tags[victim] = tag
+	valid[victim] = true
+	return evicted
+}
+
+// Cache is a set-associative cache. A miss fills the first invalid way of
+// its set; when the set is full it overwrites the last way. Hits do not
+// reorder the set, so the replacement policy is not LRU: a line living in
+// the last way is evicted by the next miss however recently it was used.
 type Cache struct {
 	name     string
 	sets     int
 	ways     int
 	lineBits uint
-	// lines[set][way] holds the cached line tag; lru[set][way] holds the
-	// recency rank (0 = most recent).
-	lines [][]uint64
-	valid [][]bool
-	lru   [][]uint8
+	// tags and valid hold every set's ways contiguously: way w of set s
+	// is index s*ways+w.
+	tags  []uint64
+	valid []bool
 
 	// Stats.
 	accesses  uint64
@@ -46,129 +76,85 @@ func NewCache(cfg CacheConfig) *Cache {
 	if cfg.LineSize < 1 {
 		cfg.LineSize = 64
 	}
-	bits := uint(0)
-	for 1<<bits < cfg.LineSize {
-		bits++
-	}
-	c := &Cache{
+	return &Cache{
 		name:     cfg.Name,
 		sets:     cfg.Sets,
 		ways:     cfg.Ways,
-		lineBits: bits,
+		lineBits: log2Ceil(cfg.LineSize),
+		tags:     make([]uint64, cfg.Sets*cfg.Ways),
+		valid:    make([]bool, cfg.Sets*cfg.Ways),
 	}
-	c.lines = make([][]uint64, cfg.Sets)
-	c.valid = make([][]bool, cfg.Sets)
-	c.lru = make([][]uint8, cfg.Sets)
-	for s := 0; s < cfg.Sets; s++ {
-		c.lines[s] = make([]uint64, cfg.Ways)
-		c.valid[s] = make([]bool, cfg.Ways)
-		c.lru[s] = make([]uint8, cfg.Ways)
-	}
-	return c
 }
 
-// line returns the line address (tag) and set index for addr.
-func (c *Cache) line(addr uint64) (tag uint64, set int) {
+// log2Ceil returns the smallest b with 1<<b >= n.
+func log2Ceil(n int) uint {
+	b := uint(0)
+	for 1<<b < n {
+		b++
+	}
+	return b
+}
+
+// set returns addr's line tag and the ways of the set it maps to.
+func (c *Cache) set(addr uint64) (tag uint64, tags []uint64, valid []bool) {
 	tag = addr >> c.lineBits
-	set = int(tag % uint64(c.sets))
-	return tag, set
+	lo := int(tag%uint64(c.sets)) * c.ways
+	hi := lo + c.ways
+	return tag, c.tags[lo:hi], c.valid[lo:hi]
 }
 
 // Access touches addr and returns whether it hit. On a miss the line is
-// filled, evicting the LRU way if the set is full.
+// filled.
+//
+//aegis:hotpath
 func (c *Cache) Access(addr uint64) bool {
 	c.accesses++
-	tag, set := c.line(addr)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.lines[set][w] == tag {
-			c.touch(set, w)
-			return true
-		}
+	tag, tags, valid := c.set(addr)
+	if lookup(tags, valid, tag) >= 0 {
+		return true
 	}
 	c.misses++
-	c.fill(set, tag)
+	c.fill(tags, valid, tag)
 	return false
 }
 
-// Contains reports whether addr's line is cached, without updating LRU or
+// Contains reports whether addr's line is cached, without updating
 // statistics (a probe, not an access).
 func (c *Cache) Contains(addr uint64) bool {
-	tag, set := c.line(addr)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.lines[set][w] == tag {
-			return true
-		}
-	}
-	return false
+	tag, tags, valid := c.set(addr)
+	return lookup(tags, valid, tag) >= 0
 }
 
 // Flush evicts addr's line if present and reports whether it was cached.
 func (c *Cache) Flush(addr uint64) bool {
-	tag, set := c.line(addr)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.lines[set][w] == tag {
-			c.valid[set][w] = false
-			return true
-		}
+	tag, tags, valid := c.set(addr)
+	w := lookup(tags, valid, tag)
+	if w < 0 {
+		return false
 	}
-	return false
+	valid[w] = false
+	return true
 }
 
 // FlushAll invalidates every line (WBINVD analog).
 func (c *Cache) FlushAll() {
-	for s := range c.valid {
-		for w := range c.valid[s] {
-			c.valid[s][w] = false
-		}
-	}
+	clear(c.valid)
 }
 
 // Insert fills addr's line without counting an access (prefetch/refill path).
 func (c *Cache) Insert(addr uint64) {
-	tag, set := c.line(addr)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.lines[set][w] == tag {
-			c.touch(set, w)
-			return
-		}
+	tag, tags, valid := c.set(addr)
+	if lookup(tags, valid, tag) < 0 {
+		c.fill(tags, valid, tag)
 	}
-	c.fill(set, tag)
 }
 
-// fill installs tag into set, evicting the LRU victim if needed.
-func (c *Cache) fill(set int, tag uint64) {
-	victim := -1
-	for w := 0; w < c.ways; w++ {
-		if !c.valid[set][w] {
-			victim = w
-			break
-		}
-	}
-	if victim < 0 {
-		// Evict the way with the highest recency rank.
-		var worst uint8
-		for w := 0; w < c.ways; w++ {
-			if c.lru[set][w] >= worst {
-				worst = c.lru[set][w]
-				victim = w
-			}
-		}
+// fill installs tag into a set, counting an eviction when it overwrites a
+// valid line.
+func (c *Cache) fill(tags []uint64, valid []bool, tag uint64) {
+	if install(tags, valid, tag) {
 		c.evictions++
 	}
-	c.lines[set][victim] = tag
-	c.valid[set][victim] = true
-	c.touch(set, victim)
-}
-
-// touch marks way as most recently used within set.
-func (c *Cache) touch(set, way int) {
-	old := c.lru[set][way]
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.lru[set][w] < old {
-			c.lru[set][w]++
-		}
-	}
-	c.lru[set][way] = 0
 }
 
 // Stats returns the access/miss/eviction counts since construction.
@@ -179,14 +165,13 @@ func (c *Cache) Stats() (accesses, misses, evictions uint64) {
 // Name returns the cache's configured name.
 func (c *Cache) Name() string { return c.name }
 
-// TLB is a fully-associative translation lookaside buffer with LRU
-// replacement over page numbers.
+// TLB is a fully-associative translation lookaside buffer over page
+// numbers, with the same replacement policy as Cache: a miss fills the
+// first invalid entry, else overwrites the last one.
 type TLB struct {
-	entries  int
 	pageBits uint
 	pages    []uint64
 	valid    []bool
-	lru      []uint8
 
 	accesses uint64
 	misses   uint64
@@ -200,67 +185,30 @@ func NewTLB(entries, pageSize int) *TLB {
 	if pageSize < 1 {
 		pageSize = 4096
 	}
-	bits := uint(0)
-	for 1<<bits < pageSize {
-		bits++
-	}
 	return &TLB{
-		entries:  entries,
-		pageBits: bits,
+		pageBits: log2Ceil(pageSize),
 		pages:    make([]uint64, entries),
 		valid:    make([]bool, entries),
-		lru:      make([]uint8, entries),
 	}
 }
 
 // Access translates addr and returns whether the page entry was resident.
+//
+//aegis:hotpath
 func (t *TLB) Access(addr uint64) bool {
 	t.accesses++
 	page := addr >> t.pageBits
-	for i := 0; i < t.entries; i++ {
-		if t.valid[i] && t.pages[i] == page {
-			t.touch(i)
-			return true
-		}
+	if lookup(t.pages, t.valid, page) >= 0 {
+		return true
 	}
 	t.misses++
-	victim := -1
-	for i := 0; i < t.entries; i++ {
-		if !t.valid[i] {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		var worst uint8
-		for i := 0; i < t.entries; i++ {
-			if t.lru[i] >= worst {
-				worst = t.lru[i]
-				victim = i
-			}
-		}
-	}
-	t.pages[victim] = page
-	t.valid[victim] = true
-	t.touch(victim)
+	install(t.pages, t.valid, page)
 	return false
 }
 
 // Flush invalidates every entry (context-switch analog).
 func (t *TLB) Flush() {
-	for i := range t.valid {
-		t.valid[i] = false
-	}
-}
-
-func (t *TLB) touch(entry int) {
-	old := t.lru[entry]
-	for i := 0; i < t.entries; i++ {
-		if t.valid[i] && t.lru[i] < old {
-			t.lru[i]++
-		}
-	}
-	t.lru[entry] = 0
+	clear(t.valid)
 }
 
 // Stats returns the access and miss counts since construction.

@@ -311,6 +311,12 @@ func (e *ErrIllegalInstruction) Error() string {
 // Execute retires one instruction variant in the given context, updating
 // caches, predictor and counters mechanistically. It returns an error for
 // variants that fault (reserved encodings, privileged instructions).
+//
+// Retiring a legal variant is allocation-free: gated dynamically by
+// TestZeroAllocCoreExecute (alloc_gate_test.go, `make bench-alloc`) and
+// statically by the aegis-lint hotpath rules.
+//
+//aegis:hotpath
 func (c *Core) Execute(v isa.Variant, ctx *ExecContext) error {
 	if v.Reserved || v.PageFaults || v.Privileged || v.Class == isa.ClassIO || v.Class == isa.ClassInvalid {
 		kind := isa.FaultUD

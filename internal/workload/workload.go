@@ -25,13 +25,23 @@ import (
 // Library indexes the legal instruction variants of a processor by class,
 // so workloads can sample concrete instructions for a mix.
 type Library struct {
-	byClass map[isa.Class][]isa.Variant
+	// byClass[c] is the pool of class c in input order; classes are small
+	// non-negative integers, so a dense table replaces a map lookup on the
+	// per-instruction sampling path.
+	byClass [][]isa.Variant
 }
 
 // NewLibrary builds a library from the post-cleanup legal variant list.
+// Variants of a negative (undefined) class are not indexed.
 func NewLibrary(legal []isa.Variant) *Library {
-	l := &Library{byClass: make(map[isa.Class][]isa.Variant)}
+	l := &Library{}
 	for _, v := range legal {
+		if v.Class < 0 {
+			continue
+		}
+		for int(v.Class) >= len(l.byClass) {
+			l.byClass = append(l.byClass, nil)
+		}
 		l.byClass[v.Class] = append(l.byClass[v.Class], v)
 	}
 	return l
@@ -47,9 +57,9 @@ func DefaultLibrary(seed uint64) *Library {
 // Sample draws a variant of the given class; it falls back to ALU variants
 // for classes absent from the library.
 func (l *Library) Sample(class isa.Class, r *rng.Source) isa.Variant {
-	pool := l.byClass[class]
+	pool := l.pool(class)
 	if len(pool) == 0 {
-		pool = l.byClass[isa.ClassALU]
+		pool = l.pool(isa.ClassALU)
 		if len(pool) == 0 {
 			return isa.Variant{Mnemonic: "NOP", Class: isa.ClassNop, Uops: 1}
 		}
@@ -57,13 +67,22 @@ func (l *Library) Sample(class isa.Class, r *rng.Source) isa.Variant {
 	return pool[r.Intn(len(pool))]
 }
 
-// Classes returns the classes available in the library (sorted, for tests).
+// pool returns the variants of class, or nil when the library has none.
+func (l *Library) pool(class isa.Class) []isa.Variant {
+	if class < 0 || int(class) >= len(l.byClass) {
+		return nil
+	}
+	return l.byClass[class]
+}
+
+// Classes returns the classes available in the library, in ascending order.
 func (l *Library) Classes() []isa.Class {
 	out := make([]isa.Class, 0, len(l.byClass))
-	for c := range l.byClass {
-		out = append(out, c)
+	for c, pool := range l.byClass {
+		if len(pool) > 0 {
+			out = append(out, isa.Class(c))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -31,6 +32,36 @@ func TestLibraryFallback(t *testing.T) {
 	empty := NewLibrary(nil)
 	if v := empty.Sample(isa.ClassAVX, r); v.Class != isa.ClassNop {
 		t.Errorf("empty library returned %v, want NOP", v.Class)
+	}
+}
+
+func TestLibraryClassTable(t *testing.T) {
+	legal := []isa.Variant{
+		{Mnemonic: "DIV", Class: isa.ClassDiv},
+		{Mnemonic: "ADD", Class: isa.ClassALU},
+		{Mnemonic: "IDIV", Class: isa.ClassDiv},
+		{Mnemonic: "SUB", Class: isa.ClassALU},
+		{Mnemonic: "AESENC", Class: isa.ClassCrypto},
+	}
+	lib := NewLibrary(legal)
+	if got, want := lib.Classes(), []isa.Class{isa.ClassALU, isa.ClassDiv, isa.ClassCrypto}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Classes() = %v, want %v", got, want)
+	}
+	// One Intn draw per sample over the class's pool in input order.
+	pools := map[isa.Class][]string{
+		isa.ClassDiv:  {"DIV", "IDIV"},
+		isa.ClassALU:  {"ADD", "SUB"},
+		isa.ClassAVX:  {"ADD", "SUB"}, // absent: ALU fallback
+		isa.Class(99): {"ADD", "SUB"}, // beyond the table: ALU fallback
+	}
+	r, twin := rng.New(9), rng.New(9)
+	for i := 0; i < 64; i++ {
+		for _, class := range []isa.Class{isa.ClassDiv, isa.ClassALU, isa.ClassAVX, isa.Class(99)} {
+			pool := pools[class]
+			if got, want := lib.Sample(class, r).Mnemonic, pool[twin.Intn(len(pool))]; got != want {
+				t.Fatalf("draw %d of %v = %s, want %s", i, class, got, want)
+			}
+		}
 	}
 }
 
