@@ -79,9 +79,11 @@ lint-audit:
 fmt-check:
 	$(GO) run ./cmd/aegis-lint -gofmt
 
-# Coverage-guided fuzzing of the DP mechanisms and the faulted tick loop.
+# Coverage-guided fuzzing of the DP mechanisms, the d* ancestor memo and the
+# faulted tick loop.
 fuzz:
 	$(GO) test ./internal/obfuscator/ -run='^$$' -fuzz=FuzzMechanismDraw -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obfuscator/ -run='^$$' -fuzz=FuzzDStarAncestry -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faultinject/proptest/ -run='^$$' -fuzz=FuzzTickUnderFaults -fuzztime $(FUZZTIME)
 
 bench: bench-json

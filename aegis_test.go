@@ -180,6 +180,10 @@ func TestProtectMulti(t *testing.T) {
 	if res.Multi.InjectedReps() == 0 {
 		t.Error("multi-event deployment injected nothing")
 	}
+	// Healthy substrate: every plan ran every tick at full fidelity.
+	if r := res.Multi.Report(); !r.Full() || r.Ticks != 60*int64(res.Multi.Plans()) {
+		t.Errorf("healthy multi-event report = %+v, want full over %d plan-ticks", r, 60*res.Multi.Plans())
+	}
 	if _, err := fw.ProtectMulti(vm, 0, nil, 1.0); !errors.Is(err, ErrNoGadgets) {
 		t.Errorf("nil gadget set error = %v", err)
 	}

@@ -161,7 +161,8 @@ func TestZeroAllocWorldStep(t *testing.T) {
 
 // TestZeroAllocObfuscatorTick gates the full per-tick protection loop
 // (kernel-module read, noise draw, clip, gadget injection) for both DP
-// mechanisms, driven through World.Step like a deployed obfuscator.
+// mechanisms and for a two-plan d* multi-event deployment, driven through
+// World.Step like a deployed obfuscator.
 func TestZeroAllocObfuscatorTick(t *testing.T) {
 	quietTelemetry(t)
 	rec := loudFlight(t)
@@ -169,29 +170,44 @@ func TestZeroAllocObfuscatorTick(t *testing.T) {
 	cat := hpc.NewAMDEpyc7252Catalog(1)
 	ref := cat.MustByName("RETIRED_UOPS")
 	seg := benchSegment(t)
+	single := func(mech obfuscator.Mechanism, err error) (sev.Process, error) {
+		if err != nil {
+			return nil, err
+		}
+		return obfuscator.New(obfuscator.Config{
+			Mechanism: mech,
+			Segment:   seg,
+			RefEvent:  ref,
+			ClipBound: 20000,
+			Seed:      11,
+		})
+	}
 	for _, tc := range []struct {
 		name string
-		mech func() (obfuscator.Mechanism, error)
+		proc func() (sev.Process, error)
 	}{
-		{"laplace", func() (obfuscator.Mechanism, error) {
-			return obfuscator.NewLaplaceMechanism(1, 1500, rng.New(6).Split("lap"))
+		{"laplace", func() (sev.Process, error) {
+			return single(obfuscator.NewLaplaceMechanism(1, 1500, rng.New(6).Split("lap")))
 		}},
-		{"dstar", func() (obfuscator.Mechanism, error) {
-			return obfuscator.NewDStarMechanism(1, 1500, rng.New(7).Split("dstar"))
+		{"dstar", func() (sev.Process, error) {
+			return single(obfuscator.NewDStarMechanism(1, 1500, rng.New(7).Split("dstar")))
+		}},
+		{"multi", func() (sev.Process, error) {
+			var plans []obfuscator.Plan
+			for i, ev := range []string{"RETIRED_UOPS", "LS_DISPATCH"} {
+				mech, err := obfuscator.NewDStarMechanism(1, 1500, rng.New(8).SplitN("dstar", i))
+				if err != nil {
+					return nil, err
+				}
+				plans = append(plans, obfuscator.Plan{
+					Mechanism: mech, Segment: seg, Event: cat.MustByName(ev), ClipBound: 20000,
+				})
+			}
+			return obfuscator.NewMulti(plans)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mech, err := tc.mech()
-			if err != nil {
-				t.Fatal(err)
-			}
-			obf, err := obfuscator.New(obfuscator.Config{
-				Mechanism: mech,
-				Segment:   seg,
-				RefEvent:  ref,
-				ClipBound: 20000,
-				Seed:      11,
-			})
+			proc, err := tc.proc()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +216,7 @@ func TestZeroAllocObfuscatorTick(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := vm.AddProcess(0, obf); err != nil {
+			if err := vm.AddProcess(0, proc); err != nil {
 				t.Fatal(err)
 			}
 			world.Run(8) // attach the kernel module, settle the caches

@@ -10,7 +10,7 @@
 //     no-injection + degraded);
 //   - degradation is monotone: a deployment that saw faults on its own
 //     substrate never reports full protection, and a healthy deployment
-//     always does.
+//     always does (bar a multi-event plan's d* clip fallback).
 package proptest
 
 import (
@@ -68,20 +68,20 @@ type Artifacts struct {
 	InjectedReps   int64
 	PerExec        float64
 	ClipBound      float64
-	// Multi-event deployment.
-	MultiReps     int64
-	MultiDegraded int64
-	MultiRearms   int64
-	MultiFull     bool
+	// Multi-event deployment: the summed plan report, total reps, and each
+	// plan's injected counts in its own event's units.
+	MultiReport obfuscator.ProtectionReport
+	MultiReps   int64
+	MultiCounts []float64
 	// World-level fault totals (preemption + gadget interrupts).
 	WorldFaults uint64
 }
 
 // Fingerprint renders every artifact field into a byte-comparable string.
 func (a Artifacts) Fingerprint() string {
-	return fmt.Sprintf("%+v|counts=%x|per=%x|multi=%d/%d/%d/%t|world=%d",
+	return fmt.Sprintf("%+v|counts=%x|per=%x|multi=%+v/%d/%x|world=%d",
 		a.Report, a.InjectedCounts, a.PerExec,
-		a.MultiReps, a.MultiDegraded, a.MultiRearms, a.MultiFull, a.WorldFaults)
+		a.MultiReport, a.MultiReps, a.MultiCounts, a.WorldFaults)
 }
 
 // Harness owns the expensive shared state: one fuzzed gadget set reused
@@ -164,10 +164,15 @@ func (h *Harness) Run(s Schedule) (a Artifacts, err error) {
 		InjectedReps:   obf.InjectedReps(),
 		PerExec:        obf.PerExecDelta(),
 		ClipBound:      20000, // aegis.Config default B_u
+		MultiReport:    multi.Multi.Report(),
 		MultiReps:      multi.Multi.InjectedReps(),
-		MultiDegraded:  multi.Multi.DegradedPlanTicks(),
-		MultiRearms:    multi.Multi.CounterRearms(),
-		MultiFull:      multi.Multi.FullProtection(),
+	}
+	for i := 0; i < multi.Multi.Plans(); i++ {
+		c, err := multi.Multi.InjectedCounts(i)
+		if err != nil {
+			return a, err
+		}
+		a.MultiCounts = append(a.MultiCounts, c)
 	}
 	if in := fw.FaultInjector(); in != nil {
 		a.WorldFaults = in.Total()
@@ -185,10 +190,6 @@ func Check(s Schedule, a Artifacts) error {
 	if r.Ticks <= 0 || r.Ticks > int64(s.Ticks) {
 		return fmt.Errorf("%v: obfuscator ran %d ticks, want 1..%d", s, r.Ticks, s.Ticks)
 	}
-	if got := r.InjectedTicks + r.ZeroDrawTicks + r.NoInjectionTicks + r.DegradedTicks; got != r.Ticks {
-		return fmt.Errorf("%v: funnel does not reconcile: %d+%d+%d+%d != %d",
-			s, r.InjectedTicks, r.ZeroDrawTicks, r.NoInjectionTicks, r.DegradedTicks, r.Ticks)
-	}
 	// DP clipped support: no run can inject more than ticks × (B_u plus
 	// one rep of rounding slack).
 	if maxTotal := float64(r.Ticks) * (a.ClipBound + a.PerExec); a.InjectedCounts > maxTotal {
@@ -198,22 +199,31 @@ func Check(s Schedule, a Artifacts) error {
 	if a.InjectedCounts < 0 || a.InjectedReps < 0 {
 		return fmt.Errorf("%v: negative injection totals: %+v", s, a)
 	}
-	// Monotone degradation: faults on the obfuscator's own substrate (or
-	// any degraded tick) must void the full-protection claim; a healthy
-	// preset must keep it.
-	if (r.FaultsSeen > 0 || r.DegradedTicks > 0 || r.MechanismFallbacks > 0) && r.Full() {
-		return fmt.Errorf("%v: full protection reported despite faults: %+v", s, r)
+	for i, r := range []obfuscator.ProtectionReport{a.Report, a.MultiReport} {
+		name := [...]string{"single", "multi"}[i]
+		if got := r.InjectedTicks + r.ZeroDrawTicks + r.NoInjectionTicks + r.DegradedTicks; got != r.Ticks {
+			return fmt.Errorf("%v: %s funnel does not reconcile: %d+%d+%d+%d != %d",
+				s, name, r.InjectedTicks, r.ZeroDrawTicks, r.NoInjectionTicks, r.DegradedTicks, r.Ticks)
+		}
+		// Monotone degradation: faults on the deployment's own substrate,
+		// degraded ticks or fallbacks void the full-protection claim.
+		if (r.FaultsSeen > 0 || r.DegradedTicks > 0 || r.MechanismFallbacks > 0) && r.Full() {
+			return fmt.Errorf("%v: %s full protection reported despite faults: %+v", s, name, r)
+		}
 	}
 	if s.Preset == faultinject.PresetOff {
-		if !r.Full() {
-			return fmt.Errorf("%v: healthy schedule not reported full: %+v", s, r)
+		if !a.Report.Full() {
+			return fmt.Errorf("%v: healthy schedule degraded single-event protection: %+v", s, a.Report)
 		}
-		if a.WorldFaults != 0 || !a.MultiFull || a.MultiDegraded != 0 {
+		// Without faults a multi-event plan can degrade only through the d*
+		// clip fallback, which clip streaks trigger on a healthy run too.
+		if r := a.MultiReport; r.FaultsSeen != 0 ||
+			r.DegradedTicks != r.DegradedByReason[obfuscator.ReasonDStarClipFallback] {
+			return fmt.Errorf("%v: healthy schedule degraded multi-event protection by faults: %+v", s, r)
+		}
+		if a.WorldFaults != 0 {
 			return fmt.Errorf("%v: healthy schedule recorded faults: %+v", s, a)
 		}
-	}
-	if a.MultiDegraded > 0 && a.MultiFull {
-		return fmt.Errorf("%v: multi deployment full despite %d degraded plan-ticks", s, a.MultiDegraded)
 	}
 	return nil
 }

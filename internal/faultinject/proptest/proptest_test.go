@@ -1,7 +1,11 @@
 package proptest
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	aegis "github.com/repro/aegis"
@@ -51,6 +55,44 @@ func TestPropertyHarness(t *testing.T) {
 		if presets[p] == 0 {
 			t.Errorf("no schedule exercised preset %q", p)
 		}
+	}
+}
+
+// TestCleanMultiGolden pins the multi-event deployment on a healthy
+// substrate: for every fault-free schedule of the property harness, the
+// total segment executions and each plan's injected counts (hex floats,
+// so the comparison is bit-exact) must match the recorded golden.
+// Regenerate with AEGIS_UPDATE_GOLDEN=1 only for an intended change to
+// the healthy multi-event tick.
+func TestCleanMultiGolden(t *testing.T) {
+	h := newHarness(t)
+	var b strings.Builder
+	for _, s := range Schedules(108, 1000) {
+		if s.Preset != faultinject.PresetOff {
+			continue
+		}
+		a, err := h.Run(s)
+		if err != nil {
+			t.Fatalf("schedule %v: %v", s, err)
+		}
+		fmt.Fprintf(&b, "%v reps=%d counts=%x\n", s, a.MultiReps, a.MultiCounts)
+	}
+	got := b.String()
+	golden := filepath.Join("testdata", "clean_multi.golden")
+	if os.Getenv("AEGIS_UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with AEGIS_UPDATE_GOLDEN=1): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("clean multi-event deployment drifted from golden.\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 
@@ -104,6 +146,9 @@ func FuzzTickUnderFaults(f *testing.F) {
 	f.Add(uint64(1), byte(0), uint8(40))
 	f.Add(uint64(99), byte(1), uint8(80))
 	f.Add(uint64(7), byte(2), uint8(120))
+	// Healthy 122-tick run whose multi-event plan hits the d* clip
+	// fallback without any fault.
+	f.Add(uint64(99), byte(0), uint8(112))
 	presets := []string{faultinject.PresetOff, faultinject.PresetLight, faultinject.PresetHeavy}
 	f.Fuzz(func(t *testing.T, seed uint64, preset byte, ticks uint8) {
 		s := Schedule{

@@ -326,24 +326,27 @@ func TestObfuscatorDeterministicUnderFaults(t *testing.T) {
 	}
 }
 
+// TestMultiObfuscatorDegradesPerPlan checks that every plan of a
+// multi-event deployment follows the single-event degradation policy:
+// per-reason degradation, counter re-arms counted as degraded, and the
+// d*→Laplace clip fallback with a distinct fallback stream per plan.
 func TestMultiObfuscatorDegradesPerPlan(t *testing.T) {
 	seg, ref := coverSegment(t)
-	mkPlans := func() []Plan {
-		d1, err := NewDStarMechanism(1, 100, rng.New(40).Split("d1"))
-		if err != nil {
-			t.Fatal(err)
+	// mkPlans seeds two d* plans the way aegis.ProtectMulti does: one
+	// labelled child stream per plan of the deployment's seed.
+	mkPlans := func(seed uint64, clip float64) []Plan {
+		plans := make([]Plan, 2)
+		for i := range plans {
+			d, err := NewDStarMechanism(1, 100, rng.New(seed).SplitN("multi-defense", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans[i] = Plan{Mechanism: d, Segment: seg, Event: ref, ClipBound: clip}
 		}
-		d2, err := NewDStarMechanism(1, 100, rng.New(40).Split("d2"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []Plan{
-			{Mechanism: d1, Segment: seg, Event: ref, ClipBound: 1000},
-			{Mechanism: d2, Segment: seg, Event: ref, ClipBound: 1000},
-		}
+		return plans
 	}
-	run := func(faults faultinject.Config) *MultiObfuscator {
-		m, err := NewMulti(mkPlans())
+	run := func(clip float64, faults faultinject.Config, ticks int) *MultiObfuscator {
+		m, err := NewMulti(mkPlans(40, clip))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,32 +359,82 @@ func TestMultiObfuscatorDegradesPerPlan(t *testing.T) {
 		if err := vm.AddProcess(0, m); err != nil {
 			t.Fatal(err)
 		}
-		w.Run(80)
+		w.Run(ticks)
 		return m
 	}
 
-	healthy := run(faultinject.Config{})
-	if !healthy.FullProtection() || healthy.DegradedPlanTicks() != 0 {
-		t.Errorf("healthy multi run degraded: %d plan-ticks", healthy.DegradedPlanTicks())
+	healthy := run(1000, faultinject.Config{}, 80)
+	if r := healthy.Report(); !r.Full() || r.DegradedTicks != 0 || r.Ticks != 2*80 {
+		t.Errorf("healthy multi run not full over 160 plan-ticks: %+v", r)
 	}
 
-	faulted := run(faultinject.Config{Seed: 41, PMUReadErrorRate: 1})
-	if faulted.FullProtection() {
+	faulted := run(1000, faultinject.Config{Seed: 41, PMUReadErrorRate: 1}, 80)
+	r := faulted.Report()
+	if r.Full() {
 		t.Error("fully faulted multi run reported full protection")
 	}
-	if got := faulted.DegradedPlanTicks(); got != 2*80 {
-		t.Errorf("degraded plan-ticks = %d, want 160 (both plans, every tick)", got)
+	if got := r.DegradedByReason[ReasonPMURead]; got != 2*80 || r.DegradedTicks != got {
+		t.Errorf("pmu-read plan-ticks = %d of %d degraded, want 160 (both plans, every tick)", got, r.DegradedTicks)
 	}
-	if faulted.Retries() == 0 {
+	if r.Retries == 0 {
 		t.Error("no retries recorded in multi deployment")
+	}
+	// A plan's PMU and draw paths share one handle; count its faults once.
+	var seen uint64
+	for _, o := range faulted.plans {
+		seen += o.kmodFaults.Total()
+	}
+	if seen == 0 || r.FaultsSeen != seen {
+		t.Errorf("faults seen = %d, want the plan handles' %d", r.FaultsSeen, seen)
 	}
 	if faulted.InjectedReps() != 0 {
 		t.Errorf("faulted multi run injected %d reps", faulted.InjectedReps())
 	}
 
-	// Saturation path: latched counters are re-armed, not consumed.
-	sat := run(faultinject.Config{Seed: 42, CounterSaturationRate: 1, SaturationCap: 5e5})
-	if sat.CounterRearms() == 0 {
-		t.Error("no counter rearms under saturation in multi deployment")
+	// Saturation path: latched counters are re-armed, not consumed, and
+	// the lost observation degrades the plan-tick.
+	sat := run(1000, faultinject.Config{Seed: 42, CounterSaturationRate: 1, SaturationCap: 5e5}, 80)
+	if r := sat.Report(); r.CounterRearms == 0 || r.DegradedByReason[ReasonCounterRearm] == 0 {
+		t.Errorf("saturation run: %d rearms, %d counter-rearm plan-ticks; want both > 0",
+			r.CounterRearms, r.DegradedByReason[ReasonCounterRearm])
+	}
+
+	// Clip storm: with a tiny clip bound every positive draw clips, so a
+	// long enough run hits the fallback streak on both plans.
+	storm := run(1e-9, faultinject.Config{}, 2000)
+	if r := storm.Report(); r.MechanismFallbacks != 2 || r.DegradedByReason[ReasonDStarClipFallback] != 2 {
+		t.Fatalf("clip storm: %d fallbacks, want one per plan: %+v", r.MechanismFallbacks, r)
+	}
+	for i, o := range storm.plans {
+		if got := o.ActiveMechanism().Name(); got != "laplace" {
+			t.Fatalf("plan %d active mechanism after clip storm = %q, want laplace", i, got)
+		}
+	}
+	// Each plan's fallback draws from its own stream, derived from the
+	// deployment's seed: compare the first draws of fresh deployments'
+	// prepared fallbacks.
+	fallbackDraws := func(seed uint64) (draws [2][8]float64) {
+		fresh, err := NewMulti(mkPlans(seed, 1e-9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range fresh.plans {
+			for k := range draws[i] {
+				draws[i][k] = o.fallback.Noise(int64(k+1), 0)
+			}
+		}
+		return draws
+	}
+	a, again, b := fallbackDraws(40), fallbackDraws(40), fallbackDraws(41)
+	if a != again {
+		t.Errorf("same deployment seed drew different fallback streams: %v vs %v", a, again)
+	}
+	if a[0] == a[1] {
+		t.Errorf("plans share one fallback stream: %v", a[0])
+	}
+	for i := range a {
+		if a[i] == b[i] {
+			t.Errorf("plan %d draws the same fallback stream under two deployment seeds: %v", i, a[i])
+		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"github.com/repro/aegis/internal/rng"
 )
@@ -168,10 +169,15 @@ type DStarMechanism struct {
 	Epsilon     float64
 	Sensitivity float64
 	calc        *NoiseCalculator
-	// noiseAt memoises the *clipped, applied* noise per tick so the
-	// recursion reuses exactly what was injected. The obfuscator stores
-	// values back via Commit.
-	noiseAt map[int64]float64
+	// committed memoises the *clipped, applied* noise v at tick t so the
+	// recursion reuses exactly what was injected (stored via Commit). Slot
+	// k holds the latest tick with k trailing zero bits, which keeps every
+	// live ancestor: the next tick after p with p's trailing-zero count,
+	// p + 2·D(p), lies past every u with G(u) = p.
+	committed [64]struct {
+		t int64
+		v float64
+	}
 }
 
 // NewDStarMechanism builds the mechanism.
@@ -185,15 +191,10 @@ func NewDStarMechanism(epsilon, sensitivity float64, r *rng.Source) (*DStarMecha
 	if sensitivity <= 0 {
 		sensitivity = 1
 	}
-	// Pre-size the memo to its Commit eviction plateau so steady-state
-	// inserts reuse existing buckets instead of growing the table.
-	noiseAt := make(map[int64]float64, 4096)
-	noiseAt[0] = 0
 	return &DStarMechanism{
 		Epsilon:     epsilon,
 		Sensitivity: sensitivity,
 		calc:        NewNoiseCalculator(4096, r),
-		noiseAt:     noiseAt,
 	}, nil
 }
 
@@ -238,28 +239,29 @@ func (m *DStarMechanism) Noise(t int64, _ float64) float64 {
 	} else {
 		r = m.calc.Lap(m.Sensitivity * math.Floor(math.Log2(float64(t))) / m.Epsilon)
 	}
-	parent, ok := m.noiseAt[G(t)]
-	if !ok {
-		parent = 0
+	return m.committedAt(G(t)) + r
+}
+
+// committedAt returns the noise committed at tick p, or 0 when p is the
+// root (G(1) = 0) or was never committed (a degraded tick skips Commit).
+func (m *DStarMechanism) committedAt(p int64) float64 {
+	if p < 1 {
+		return 0
 	}
-	return parent + r
+	if c := m.committed[bits.TrailingZeros64(uint64(p))]; c.t == p {
+		return c.v
+	}
+	return 0
 }
 
 // Commit records the clipped noise actually injected at tick t, feeding
-// future recursion steps.
+// future recursion steps. Ticks below 1 are never a parent and are ignored.
 func (m *DStarMechanism) Commit(t int64, applied float64) {
-	m.noiseAt[t] = applied
-	// Bound memory: only ancestors of future ticks are needed; drop
-	// entries older than the lowest possible ancestor (t - 2^k window).
-	if len(m.noiseAt) > 4096 {
-		cut := t - 2048
-		//aegis:allow(maprange) deletes below a fixed threshold are order-insensitive; surviving entries are identical either way
-		for k := range m.noiseAt {
-			if k != 0 && k < cut {
-				delete(m.noiseAt, k)
-			}
-		}
+	if t < 1 {
+		return
 	}
+	c := &m.committed[bits.TrailingZeros64(uint64(t))]
+	c.t, c.v = t, applied
 }
 
 // RandomNoiseMechanism is the §IX-A baseline: uniform noise in [0, Bound]

@@ -227,3 +227,41 @@ func FuzzMechanismDraw(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDStarAncestry drives the d* recursion over fuzzer-chosen tick gaps.
+// Each gap byte advances the tick by 1..128 and its low bit decides
+// whether the visited tick commits (a degraded tick skips Commit). Every
+// visited tick's parent read is checked against a never-evicting
+// reference map: a committed G(t) must be found, an uncommitted one must
+// read 0.
+func FuzzDStarAncestry(f *testing.F) {
+	f.Add(uint16(0), []byte{0})
+	f.Add(uint16(4000), []byte{0, 2, 1, 6, 255})
+	f.Add(uint16(8190), []byte{1, 0, 0, 3})
+	f.Fuzz(func(t *testing.T, start uint16, gaps []byte) {
+		if len(gaps) == 0 {
+			return
+		}
+		m, err := NewDStarMechanism(1, 1, rng.New(1).Split("fuzz-ancestry"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := map[int64]float64{}
+		tick := int64(start)
+		// Cycle through the gaps so short inputs still reach ancestors
+		// thousands of ticks back.
+		for i := 0; i < 8192; i++ {
+			g := gaps[i%len(gaps)]
+			tick += 1 + int64(g>>1)
+			if got, want := m.committedAt(G(tick)), ref[G(tick)]; got != want {
+				t.Fatalf("t=%d: parent G(t)=%d reads %v, want %v", tick, G(tick), got, want)
+			}
+			m.Noise(tick, 0)
+			if g&1 == 0 {
+				v := float64(tick) + 0.5
+				m.Commit(tick, v)
+				ref[tick] = v
+			}
+		}
+	})
+}

@@ -7,26 +7,7 @@ import (
 	"github.com/repro/aegis/internal/hpc"
 	"github.com/repro/aegis/internal/isa"
 	"github.com/repro/aegis/internal/sev"
-	"github.com/repro/aegis/internal/telemetry"
-	"github.com/repro/aegis/internal/telemetry/flight"
 )
-
-// Multi-event deployment metrics, kept separate from the single-event
-// obfuscator so summaries attribute injection volume per deployment style.
-var (
-	mMultiTicks          = telemetry.C("obfuscator_multi_ticks_total")
-	mMultiInjectedReps   = telemetry.C("obfuscator_multi_injected_reps_total")
-	mMultiClipSaturation = telemetry.C("obfuscator_multi_clip_saturations_total")
-	mMultiDegradedPlans  = telemetry.C("obfuscator_multi_degraded_plan_ticks_total")
-	mMultiRetries        = telemetry.C("obfuscator_multi_retries_total")
-	mMultiRearms         = telemetry.C("obfuscator_multi_counter_rearms_total")
-	mMultiInjectedInstr  = telemetry.C("obfuscator_multi_injected_instructions_total")
-)
-
-// multiMaxRetries bounds per-plan, per-tick recovery attempts; the
-// multi-event deployer uses a fixed policy rather than the single-event
-// obfuscator's configurable one.
-const multiMaxRetries = 3
 
 // Plan protects one critical HPC event with its own mechanism and gadget
 // segment.
@@ -40,28 +21,11 @@ type Plan struct {
 // MultiObfuscator reinforces protection for multiple critical HPC events
 // simultaneously, the deployment style the paper recommends the d*
 // mechanism for (§VII-B: "d* mechanism is better suited for reinforcing
-// protection for multiple critical HPC events"). Each plan runs its own
-// noise recursion and injects its own gadget segment; the plans share the
-// vCPU tick budget round-robin.
+// protection for multiple critical HPC events"). Each plan is a
+// single-event Obfuscator with its own noise recursion, gadget segment and
+// degradation policy; the plans share the vCPU tick budget in order.
 type MultiObfuscator struct {
-	plans []planState
-
-	faults *faultinject.Injector
-
-	injectedReps      int64
-	ticks             int64
-	degradedPlanTicks int64
-	retries           int64
-	counterRearms     int64
-}
-
-type planState struct {
-	plan    Plan
-	kmod    kernelModule
-	perExec float64
-	faults  *faultinject.Handle
-	// injectedCounts per plan, in its event's units.
-	injectedCounts float64
+	plans []*Obfuscator
 }
 
 var _ sev.Process = (*MultiObfuscator)(nil)
@@ -74,38 +38,35 @@ func NewMulti(plans []Plan) (*MultiObfuscator, error) {
 	}
 	m := &MultiObfuscator{}
 	for i, p := range plans {
-		if p.Mechanism == nil {
-			return nil, fmt.Errorf("plan %d: %w", i, ErrNoMechanism)
+		// Seed the d*→Laplace fallback from the plan's own (secret) d*
+		// stream and index; the pure SplitN leaves the d* stream in place.
+		var seed uint64
+		if d, ok := p.Mechanism.(*DStarMechanism); ok {
+			seed = d.calc.r.SplitN("obfuscator-fallback", i).Uint64()
 		}
-		if len(p.Segment) == 0 {
-			return nil, fmt.Errorf("plan %d: %w", i, ErrNoSegment)
-		}
-		if p.Event == nil {
-			return nil, fmt.Errorf("plan %d: %w", i, ErrNoRefEvent)
-		}
-		if p.ClipBound <= 0 {
-			p.ClipBound = 20000
-		}
-		per, err := calibrateSegment(p.Segment, p.Event)
+		o, err := New(Config{
+			Mechanism: p.Mechanism,
+			Segment:   p.Segment,
+			RefEvent:  p.Event,
+			ClipBound: p.ClipBound,
+			Seed:      seed,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("plan %d: %w", i, err)
 		}
-		m.plans = append(m.plans, planState{plan: p, perExec: per})
+		m.plans = append(m.plans, o)
 	}
 	return m, nil
 }
 
-// SetFaults wires a fault injector into every plan's kernel-module PMU.
-// Handles are labelled by plan index so the schedules are stable however
-// many plans share the deployment. Must be called before the first Step.
+// SetFaults wires a fault injector into every plan's kernel-module PMU
+// and mechanism draws. Handles are labelled by plan index so the schedules
+// are stable however many plans share the deployment. Must be called
+// before the first Step.
 func (m *MultiObfuscator) SetFaults(in *faultinject.Injector) {
-	m.faults = in
-	for i := range m.plans {
-		if in == nil {
-			m.plans[i].faults = nil
-			continue
-		}
-		m.plans[i].faults = in.Handle("obfuscator-multi", fmt.Sprintf("plan%d", i))
+	for i, o := range m.plans {
+		h := in.Handle("obfuscator-multi", fmt.Sprintf("plan%d", i))
+		o.kmodFaults, o.drawFaults = h, h
 	}
 }
 
@@ -113,7 +74,13 @@ func (m *MultiObfuscator) SetFaults(in *faultinject.Injector) {
 func (m *MultiObfuscator) Name() string { return "aegis-obfuscator-multi" }
 
 // InjectedReps returns the total segment executions across plans.
-func (m *MultiObfuscator) InjectedReps() int64 { return m.injectedReps }
+func (m *MultiObfuscator) InjectedReps() int64 {
+	var n int64
+	for _, o := range m.plans {
+		n += o.InjectedReps()
+	}
+	return n
+}
 
 // InjectedCounts returns the injected counts of plan i in its own event's
 // units.
@@ -121,134 +88,47 @@ func (m *MultiObfuscator) InjectedCounts(i int) (float64, error) {
 	if i < 0 || i >= len(m.plans) {
 		return 0, fmt.Errorf("obfuscator: plan %d out of range", i)
 	}
-	return m.plans[i].injectedCounts, nil
+	return m.plans[i].InjectedCounts(), nil
 }
 
 // Plans returns the number of protected events.
 func (m *MultiObfuscator) Plans() int { return len(m.plans) }
 
-// DegradedPlanTicks returns how many (plan, tick) pairs were skipped or
-// cut short by substrate faults.
-func (m *MultiObfuscator) DegradedPlanTicks() int64 { return m.degradedPlanTicks }
+// Report sums the plans' protection reports, so its tick counts are
+// (plan, tick) pairs. It is Full only when every plan is.
+func (m *MultiObfuscator) Report() ProtectionReport {
+	sum := ProtectionReport{DegradedByReason: make(map[DegradeReason]int64)}
+	for _, o := range m.plans {
+		r := o.Report()
+		sum.Ticks += r.Ticks
+		sum.InjectedTicks += r.InjectedTicks
+		sum.ZeroDrawTicks += r.ZeroDrawTicks
+		sum.NoInjectionTicks += r.NoInjectionTicks
+		sum.DegradedTicks += r.DegradedTicks
+		for _, reason := range DegradeReasons {
+			if n := r.DegradedByReason[reason]; n != 0 {
+				sum.DegradedByReason[reason] += n
+			}
+		}
+		sum.Retries += r.Retries
+		sum.CounterRearms += r.CounterRearms
+		sum.MechanismFallbacks += r.MechanismFallbacks
+		sum.FaultsSeen += r.FaultsSeen
+	}
+	return sum
+}
 
-// Retries returns the recovery attempts across all plans.
-func (m *MultiObfuscator) Retries() int64 { return m.retries }
-
-// CounterRearms returns how many times a plan's latched counter was
-// re-programmed.
-func (m *MultiObfuscator) CounterRearms() int64 { return m.counterRearms }
-
-// FullProtection reports whether every plan ran every tick without
-// degradation.
-func (m *MultiObfuscator) FullProtection() bool { return m.degradedPlanTicks == 0 }
-
-// Step implements sev.Process.
+// Step implements sev.Process: each plan runs one protected tick in order
+// until the shared vCPU budget runs out.
+//
+//aegis:hotpath
 func (m *MultiObfuscator) Step(g *sev.GuestExecutor) {
-	m.ticks++
-	t := g.Tick()
-	tickSpan := telemetry.StartSpan("obfuscator.multi_tick")
-	defer tickSpan.End()
-	mMultiTicks.Inc()
-	for i := range m.plans {
-		ps := &m.plans[i]
-		if !ps.kmod.attached {
-			if err := ps.kmod.attach(g.Core(), ps.plan.Event, ps.faults); err != nil {
-				m.degradePlan(t)
-				continue
-			}
-		}
-		var x float64
-		if ps.plan.Mechanism.NeedsObservation() {
-			v, err := ps.kmod.readAndReset()
-			for attempt := 0; err != nil && attempt < multiMaxRetries; attempt++ {
-				m.retries++
-				mMultiRetries.Inc()
-				v, err = ps.kmod.readAndReset()
-			}
-			if err != nil {
-				m.degradePlan(t)
-				continue
-			}
-			if ps.kmod.saturated() {
-				// Latched at the overflow cap: re-arm and treat the
-				// observation as lost rather than feeding the cap in.
-				if rerr := ps.kmod.rearm(ps.plan.Event); rerr != nil {
-					m.degradePlan(t)
-					continue
-				}
-				m.counterRearms++
-				mMultiRearms.Inc()
-				v = 0
-			}
-			x = v
-		}
-		noise := drawNoise(ps.plan.Mechanism, t, x)
-		if v, ok := ps.faults.DrawExtreme(); ok {
-			noise = v
-		}
-		if noise < 0 {
-			noise = 0
-		}
-		if noise > ps.plan.ClipBound {
-			noise = ps.plan.ClipBound
-			mMultiClipSaturation.Inc()
-		}
-		reps := int(noise/ps.perExec + 0.5)
-		injected := 0
-		retries := 0
-		planned := reps
-		for r := 0; r < planned; {
-			n, err := g.ExecuteSeq(ps.plan.Segment)
-			if err != nil {
-				m.degradePlan(t)
-				break
-			}
-			if n == len(ps.plan.Segment) {
-				injected++
-				r++
-				continue
-			}
-			if g.Remaining() == 0 {
-				// Shared budget exhausted: later plans see it immediately.
-				if n > 0 {
-					injected++
-				}
-				break
-			}
-			// Fault-interrupted mid-gadget: retry with the same halving
-			// backoff as the single-event obfuscator.
-			if retries < multiMaxRetries {
-				retries++
-				m.retries++
-				mMultiRetries.Inc()
-				remaining := planned - r
-				planned = r + (remaining+1)/2
-				continue
-			}
-			m.degradePlan(t)
-			break
-		}
-		applied := float64(injected) * ps.perExec
-		ps.injectedCounts += applied
-		m.injectedReps += int64(injected)
-		mMultiInjectedReps.Add(float64(injected))
-		mMultiInjectedInstr.Add(float64(injected * len(ps.plan.Segment)))
-		if d, ok := ps.plan.Mechanism.(*DStarMechanism); ok {
-			d.Commit(t, applied)
-		}
+	for _, o := range m.plans {
+		o.Step(g)
 		if g.Remaining() == 0 {
 			return
 		}
 	}
-}
-
-func (m *MultiObfuscator) degradePlan(t int64) {
-	m.degradedPlanTicks++
-	mMultiDegradedPlans.Inc()
-	// Plan degradations share one journal code: the multi deployer does
-	// not split by reason, and the record's payload disambiguates enough
-	// for incident triage (see ProtectionReport on the single deployer).
-	fTick.Incident(t, flight.CodeDegradedPlan, flight.CodeNone, 0, 0, 0)
 }
 
 // SecretDependentMechanism wraps a base mechanism with a constant,

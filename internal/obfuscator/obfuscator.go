@@ -214,7 +214,8 @@ type Config struct {
 	// starve the protected application outright; 0 means no cap beyond
 	// the vCPU budget.
 	MaxRepsPerTick int
-	// Seed drives the noise sampling.
+	// Seed drives the prepared d*→Laplace fallback mechanism's draws;
+	// the configured Mechanism carries its own stream.
 	Seed uint64
 	// Faults injects substrate faults into the obfuscator's own kernel
 	// module PMU and mechanism draws. The zero value is the healthy
@@ -287,13 +288,11 @@ type Obfuscator struct {
 	cfg Config
 
 	kmod    kernelModule
-	noise   *rng.Source
 	perExec float64 // reference-event counts per segment execution
 
-	// Fault handling. faults is this obfuscator's own injector (nil when
-	// healthy); kmodFaults feeds the kernel module's PMU, drawFaults the
-	// mechanism draw path.
-	faults     *faultinject.Injector
+	// Fault handling: kmodFaults feeds the kernel module's PMU, drawFaults
+	// the mechanism draw path (nil when healthy). A multi-event plan uses
+	// one handle for both.
 	kmodFaults *faultinject.Handle
 	drawFaults *faultinject.Handle
 	maxRetries int
@@ -355,16 +354,15 @@ func New(cfg Config) (*Obfuscator, error) {
 	}
 	o := &Obfuscator{
 		cfg:              cfg,
-		noise:            rng.New(cfg.Seed).Split("obfuscator"),
-		faults:           faultinject.New(cfg.Faults),
 		maxRetries:       maxRetries,
 		mech:             cfg.Mechanism,
 		fallbackAfter:    fallbackAfter,
 		degradedByReason: make(map[DegradeReason]int64),
 	}
 	o.mechCode = mechFlightCode(o.mech)
-	o.kmodFaults = o.faults.Handle("obfuscator", "kmod")
-	o.drawFaults = o.faults.Handle("obfuscator", "draw")
+	faults := faultinject.New(cfg.Faults)
+	o.kmodFaults = faults.Handle("obfuscator", "kmod")
+	o.drawFaults = faults.Handle("obfuscator", "draw")
 	// Prepare the d*→Laplace fallback with the same privacy parameters:
 	// if draws clip persistently, the tree recursion's committed noise no
 	// longer matches what was drawn, so a memoryless mechanism is safer.
@@ -443,6 +441,10 @@ func (o *Obfuscator) LastTick() TickInfo { return o.last }
 
 // Report returns the cumulative protection report.
 func (o *Obfuscator) Report() ProtectionReport {
+	faults := o.kmodFaults.Total()
+	if o.drawFaults != o.kmodFaults { // a multi-event plan shares one handle
+		faults += o.drawFaults.Total()
+	}
 	byReason := make(map[DegradeReason]int64, len(o.degradedByReason))
 	//aegis:allow(maprange) flat key-by-key copy into a fresh map; iteration order cannot leak
 	for k, v := range o.degradedByReason {
@@ -458,16 +460,12 @@ func (o *Obfuscator) Report() ProtectionReport {
 		Retries:            o.retriesTotal,
 		CounterRearms:      o.counterRearms,
 		MechanismFallbacks: o.fallbacks,
-		FaultsSeen:         o.kmodFaults.Total() + o.drawFaults.Total(),
+		FaultsSeen:         faults,
 	}
 }
 
-// Step implements sev.Process: one tick of the kernel-module/daemon loop.
-//
-// The steady-state path is allocation-free: gated dynamically by TestZeroAllocObfuscatorTick
-// (alloc_gate_test.go, `make bench-alloc`) and statically by the
-// aegis-lint hotpath rule, which bans allocating constructs in any
-// function carrying this annotation.
+// Step implements sev.Process: one tick of the kernel-module/daemon loop,
+// allocation-free in the steady state like runTick.
 //
 //aegis:hotpath
 func (o *Obfuscator) Step(g *sev.GuestExecutor) {

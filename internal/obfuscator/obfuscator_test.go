@@ -167,6 +167,29 @@ func TestDStarCommitFeedsRecursion(t *testing.T) {
 	}
 }
 
+// TestDStarKeepsDistantAncestors commits every tick through t = 20000 and
+// checks each draw inherits its committed tree parent G(t), which can lie
+// t/2 ticks back. A huge ε shrinks the fresh Laplace term to ~1e-5, so a
+// draw must equal the parent's committed value to well within 1.
+func TestDStarKeepsDistantAncestors(t *testing.T) {
+	m, err := NewDStarMechanism(1e6, 1, rng.New(6).Split("dstar"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := func(tick int64) float64 {
+		if tick == 0 {
+			return 0 // G(1) = 0: the root reads 0
+		}
+		return 1e6 + float64(tick)
+	}
+	for tick := int64(1); tick <= 20000; tick++ {
+		if got, want := m.Noise(tick, 0), committed(G(tick)); math.Abs(got-want) > 1 {
+			t.Fatalf("t=%d: draw %v, want parent G(t)=%d's committed %v", tick, got, G(tick), want)
+		}
+		m.Commit(tick, committed(tick))
+	}
+}
+
 func TestRandomAndConstantBaselines(t *testing.T) {
 	rm, err := NewRandomNoiseMechanism(100, rng.New(6).Split("rand"))
 	if err != nil {

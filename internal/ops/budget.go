@@ -105,8 +105,8 @@ func (b *OverheadBudget) Probe() Probe {
 }
 
 // TelemetrySource derives cumulative (injected, capacity) instruction
-// totals from a registry: injected is the obfuscators' injected
-// instructions, capacity is vCPU steps × the per-tick instruction budget.
+// totals from a registry: injected is the obfuscators' (multi-event plans
+// included) injected instructions, capacity is vCPU steps × the per-tick instruction budget.
 // This is the overhead-budget math of DESIGN.md: the defense's share of
 // the machine's instruction capacity, the quantity the paper holds under
 // 2%.
@@ -115,10 +115,9 @@ func TelemetrySource(reg *telemetry.Registry) func() (float64, float64) {
 		reg = telemetry.Default()
 	}
 	injected := reg.Counter(telemetry.MetricObfuscatorInjectedInstructionsTotal)
-	multi := reg.Counter(telemetry.MetricObfuscatorMultiInjectedInstructionsTotal)
 	steps := reg.Counter(telemetry.MetricSevVcpuStepsTotal)
 	budget := reg.Gauge(telemetry.MetricSevTickBudget)
 	return func() (float64, float64) {
-		return injected.Value() + multi.Value(), steps.Value() * budget.Value()
+		return injected.Value(), steps.Value() * budget.Value()
 	}
 }

@@ -168,8 +168,9 @@ func TestOverheadBudget(t *testing.T) {
 
 func TestBudgetTelemetrySource(t *testing.T) {
 	reg := telemetry.NewRegistry()
+	// Single-event and multi-event plan injections share one counter.
 	reg.Counter(telemetry.MetricObfuscatorInjectedInstructionsTotal).Add(10)
-	reg.Counter(telemetry.MetricObfuscatorMultiInjectedInstructionsTotal).Add(5)
+	reg.Counter(telemetry.MetricObfuscatorInjectedInstructionsTotal).Add(5)
 	reg.Counter(telemetry.MetricSevVcpuStepsTotal).Add(100)
 	reg.Gauge(telemetry.MetricSevTickBudget).Set(20)
 	b := NewOverheadBudget(0)
